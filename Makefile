@@ -7,7 +7,7 @@
 SHELL := bash
 .SHELLFLAGS := -eu -o pipefail -c
 
-.PHONY: install test lint coverage ci stress bench bench-smoke observability replication sweep examples all
+.PHONY: install test lint coverage ci stress bench bench-smoke e2e-smoke observability replication sweep examples all
 
 # Minimum line coverage enforced by `make coverage` and the CI test job.
 COVERAGE_FLOOR ?= 80
@@ -40,6 +40,12 @@ coverage:
 		echo "warning: pytest-cov not installed; skipping coverage (CI runs it)"; \
 	fi
 
+# The end-to-end benchmark's own smoke test (benchmarks/e2e is outside the
+# tier-1 testpaths): every workload for a fraction of a second, plus the
+# one-command contract BENCHMARK.json relies on.  CI's test job runs it.
+e2e-smoke:
+	PYTHONPATH=src python -m pytest benchmarks/e2e/tests -q
+
 # Mirror of .github/workflows/ci.yml: lint, the tier-1 suite, coverage.
 ci: lint test coverage
 
@@ -65,8 +71,10 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # Reduced-scale smoke of the Table 1 workload, the WAL-overhead ablation,
-# the plan-cache / time-travel ablations, the concurrent-serving bench
-# and the tracing-overhead bench, then the regression gate against
+# the plan-cache / time-travel / batch-executor ablations (the last one
+# including the churn-read cell: writes then a 2-hop read, batch vs row,
+# gated as churn_read_speedup), the concurrent-serving bench and the
+# tracing-overhead bench, then the regression gate against
 # benchmarks/baselines/ (mirrors CI's gating bench-smoke job).
 bench-smoke:
 	NEPAL_BENCH_INSTANCES=5 NEPAL_CHURN_DAYS=5 NEPAL_BENCH_SCALE=small \

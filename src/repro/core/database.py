@@ -274,18 +274,12 @@ class NepalDB:
     # write path (default store)
     # ------------------------------------------------------------------
 
-    def _dirty(self) -> None:
-        if self._executor is not None:
-            self._executor.invalidate_statistics()
-
     def insert_node(
         self, class_name: str, fields: Mapping[str, Any] | None = None, uid: int | None = None
 ) -> int:
         """Insert a node into the default store; returns its uid."""
         with self._gate.commit(self.clock):
-            uid = self.store.insert_node(class_name, fields, uid=uid)
-        self._dirty()
-        return uid
+            return self.store.insert_node(class_name, fields, uid=uid)
 
     def insert_edge(
         self,
@@ -297,9 +291,7 @@ class NepalDB:
 ) -> int:
         """Insert an edge into the default store; returns its uid."""
         with self._gate.commit(self.clock):
-            uid = self.store.insert_edge(class_name, source, target, fields, uid=uid)
-        self._dirty()
-        return uid
+            return self.store.insert_edge(class_name, source, target, fields, uid=uid)
 
     def connect(
         self,
@@ -315,20 +307,17 @@ class NepalDB:
                 uids = self.store.insert_symmetric_edge(class_name, left, right, fields)
             else:
                 uids = (self.store.insert_edge(class_name, left, right, fields),)
-        self._dirty()
         return uids
 
     def update(self, uid: int, changes: Mapping[str, Any]) -> None:
         """Apply field changes (``None`` removes a field); versions history."""
         with self._gate.commit(self.clock):
             self.store.update_element(uid, changes)
-        self._dirty()
 
     def delete(self, uid: int) -> None:
         """Logically delete an element (nodes cascade to incident edges)."""
         with self._gate.commit(self.clock):
             self.store.delete_element(uid)
-        self._dirty()
 
     # ------------------------------------------------------------------
     # query path
@@ -615,7 +604,6 @@ class NepalDB:
             raise NepalError(f"{builder!r} does not provide an apply(store) method")
         with self._gate.commit(self.clock):
             apply(self.store)
-        self._dirty()
 
     def describe(self) -> str:
         """A human-readable census of schema and stores.

@@ -17,7 +17,7 @@ from repro.schema.classes import EdgeClass, ElementClass, NodeClass
 from repro.temporal.interval import FOREVER, Interval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementRecord:
     """One version of a node or edge."""
 
@@ -67,12 +67,12 @@ class ElementRecord:
         return f"{self.cls.name}#{self.uid}" + (f"[{label}]" if label else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRecord(ElementRecord):
     """A node version."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeRecord(ElementRecord):
     """An edge version; ``source_uid``/``target_uid`` give its endpoints.
 

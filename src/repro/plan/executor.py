@@ -851,6 +851,13 @@ class QueryExecutor:
                 pathways = kept
             span.set("estimated_rows", item.program.anchor_cost)
             span.set("rows_out", len(pathways))
+            if span:
+                # How much the batch reads had to route around the sealed CSR
+                # base (stores without a batch engine have no overlay).
+                overlay = getattr(item.store, "csr_overlay", lambda: None)()
+                if overlay is not None:
+                    span.set("csr_delta_elements", overlay[0])
+                    span.set("csr_delta_adjacency_nodes", overlay[1])
         item.pathways = pathways
 
     def _imported_anchor(

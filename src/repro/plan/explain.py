@@ -19,6 +19,7 @@ the output is byte-stable for golden-file tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -134,16 +135,24 @@ class ExplainAnalysis:
             if evaluate_span is not None:
                 attrs = evaluate_span.attrs
                 estimated = attrs.get("estimated_rows", program.anchor_cost)
-                execution = attrs.get("execution", "row")
+                execution = f"{attrs.get('execution', 'row')} execution"
+                if "csr_delta_elements" in attrs:
+                    execution += (
+                        f", overlay {attrs['csr_delta_elements']} elements"
+                        f" / {attrs['csr_delta_adjacency_nodes']} adjacency nodes"
+                    )
+                counters: Counter[str] = Counter()
+                for span in evaluate_span.walk():  # anchor scans count on a child
+                    counters.update(span.counters)
                 lines.append(
                     f"  actual: {attrs.get('rows_out', '?')} pathways "
                     f"(estimated {estimated:g}) via anchor "
                     f"{attrs.get('anchor', '?')} "
-                    f"({execution} execution) [{ms(evaluate_span)} ms]"
+                    f"({execution}) [{ms(evaluate_span)} ms]"
                 )
-                for key in sorted(evaluate_span.counters):
+                for key in sorted(counters):
                     if key.startswith(_INTERESTING_COUNTERS):
-                        lines.append(f"    {key}: {evaluate_span.counters[key]}")
+                        lines.append(f"    {key}: {counters[key]}")
             join_span = self._variable_span("join", name)
             if join_span is not None:
                 attrs = join_span.attrs

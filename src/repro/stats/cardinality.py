@@ -41,15 +41,21 @@ class CardinalityEstimator:
     The estimator carries a monotonic *statistics epoch*: it advances
     whenever the cached per-class counts are dropped, either explicitly
     via :meth:`invalidate` or automatically when the backing store's
-    ``data_version`` drifts past the version last sampled.  The plan
-    cache keys compiled programs on the epoch, so plans chosen under
-    stale statistics are replanned — a correctness-neutral refresh, since
-    statistics only steer anchor *choice* (§5.1), never result sets.
+    ``data_version`` moved *and* one of the current-scope class counts
+    the cache was built from actually changed.  Most inventory churn is
+    field updates (status flips) that move no class count, so a version
+    move alone retires nothing.  The plan cache keys compiled programs on
+    the epoch, so plans chosen under stale statistics are replanned — a
+    correctness-neutral refresh, since statistics only steer anchor
+    *choice* (§5.1), never result sets.
     """
 
     def __init__(self, store: "GraphStore | None" = None):
         self._store = store
         self._class_count_cache: dict[tuple[str, tuple | None], float] = {}
+        #: class name -> raw current-scope ``class_count`` behind the cache,
+        #: re-read on a version move to tell count drift from field churn.
+        self._sampled_counts: dict[str, int] = {}
         self._epoch = 0
         self._seen_data_version = store.data_version if store is not None else 0
 
@@ -63,12 +69,26 @@ class CardinalityEstimator:
         if self._store is None:
             return
         version = self._store.data_version
-        if version != self._seen_data_version:
-            self._seen_data_version = version
+        if version == self._seen_data_version:
+            return
+        self._seen_data_version = version
+        class_count = self._store.class_count
+        # list(...) copies: concurrent queries share this estimator and may
+        # be inserting into either dict while this one walks it.
+        sampled = list(self._sampled_counts.items())
+        if any(class_count(name) != count for name, count in sampled):
             self._bump()
+            return
+        # Counts held, so cached plans stay valid.  Historical-scope entries
+        # are simply dropped (a write can move a range that reaches "now");
+        # they are re-read on demand and nothing is keyed on them.
+        for key in list(self._class_count_cache):
+            if key[1] is not None:
+                self._class_count_cache.pop(key, None)
 
     def _bump(self) -> None:
         self._class_count_cache.clear()
+        self._sampled_counts.clear()
         self._epoch += 1
 
     def class_cardinality(
@@ -83,7 +103,9 @@ class CardinalityEstimator:
         exact = False
         if self._store is not None:
             if scope is None or scope.is_current:
-                count = float(self._store.class_count(cls.name))
+                sampled = self._store.class_count(cls.name)
+                self._sampled_counts[cls.name] = sampled
+                count = float(sampled)
             else:
                 # Historical anchors are costed with what existed *then*;
                 # backends without a temporal index answer None and fall

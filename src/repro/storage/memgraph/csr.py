@@ -1,20 +1,22 @@
-"""Immutable columnar snapshots of the in-memory store (CSR layout).
+"""Columnar snapshots of the in-memory store: a sealed CSR base plus a delta overlay.
 
 The row-at-a-time read path walks Python dicts element by element:
 ``scan_atom`` copies index sets, sorts them, and chases a dict lookup plus
 an ``Interval`` method call per candidate; frontier expansion does the
 same per edge.  Following the batch-at-a-time execution model of
 vectorized engines (MonetDB/X100 style), this module freezes the store
-into flat parallel arrays once per ``data_version`` epoch so the batch
-operators in :mod:`repro.plan.batch` can replace those inner loops with
-bisects over sorted interval columns and tight scans over offset ranges.
+into flat parallel arrays so the batch operators in
+:mod:`repro.plan.batch` can replace those inner loops with bisects over
+sorted interval columns and tight scans over offset ranges.
 
-A :class:`CsrSnapshot` holds:
+A :class:`CsrSnapshot` holds a **sealed base**, built once by
+:func:`build_csr` and never modified afterwards:
 
-* an **interning table**: every uid ever admitted, sorted ascending in an
-  ``array('q')``; its index is the element's *dense id*.  Class names
-  (node and edge labels alike) are interned to dense int ids the same
-  way, and a parallel int32 array maps each element to its class id.
+* an **interning table**: every uid admitted when the base was sealed,
+  sorted ascending in an ``array('q')``; its index is the element's
+  *dense id*.  Class names (node and edge labels alike) are interned to
+  dense int ids the same way, and a parallel int32 array maps each
+  element to its class id.
 * **chain columns**: every element's version chain (closed history plus
   the open current version, chronological) flattened into parallel
   start/end ``array('d')`` columns plus a record column, indexed CSR-style
@@ -31,9 +33,25 @@ A :class:`CsrSnapshot` holds:
   segments, preserving exactly the ordering contract of
   :meth:`~repro.storage.memgraph.indexes.AdjacencyIndex.edges`.
 
-Snapshots are *immutable*: writers never touch one.  The store rebuilds
-lazily on the first batch read after ``data_version`` moves, so read-heavy
-epochs pay the build once and write-heavy epochs pay nothing.
+and a small mutable **delta overlay** recording what the base no longer
+describes: :attr:`CsrSnapshot.delta_elements` (uids whose version chain
+changed, or that were admitted, after the seal) and
+:attr:`CsrSnapshot.delta_adjacency_nodes` (nodes with an incident edge
+added or changed after the seal).  Writers never touch the base columns;
+they only add to these two sets, through :meth:`CsrSnapshot.touch`, under
+the store's exclusive write lock — the same lock hold that mutates the
+version chains, so a reader (shared lock) always sees chains and overlay
+agree.  The batch operators answer everything *outside* the overlay from
+the base columns and route the overlay's members through the store's row
+routines, so a write costs a set insertion instead of orphaning an
+O(graph) build.
+
+Base and overlay are one object and are replaced together: once the
+overlay outgrows :data:`MERGE_FRACTION` of the base, the next batch read
+*merges* — a fresh :func:`build_csr` with an empty overlay — and swaps the
+store's single snapshot reference.  A build is therefore paid at most once
+per ``MERGE_FRACTION * len(base)`` distinct dirty elements: amortized O(1)
+per write, however reads and writes interleave.
 """
 
 from __future__ import annotations
@@ -42,10 +60,18 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING
 
-from repro.model.elements import ElementRecord
+from repro.model.elements import EdgeRecord, ElementRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.memgraph.store import MemGraphStore
+
+
+#: A merge (full :func:`build_csr`) is due once the overlay holds more
+#: than this fraction of the base's elements.  Larger values merge less
+#: often but send more of every batch through the row routines; at 1/8 a
+#: read routes at most an eighth of the graph row-wise, and a build is
+#: amortized over at least ``len(base) / 8`` writes.
+MERGE_FRACTION = 0.125
 
 
 class ClassColumns:
@@ -95,10 +121,12 @@ class ClassColumns:
 
 
 class CsrSnapshot:
-    """One immutable columnar view of a :class:`MemGraphStore` epoch."""
+    """A sealed columnar base of a :class:`MemGraphStore` plus its delta overlay."""
 
     __slots__ = (
         "data_version",
+        "delta_elements",
+        "delta_adjacency_nodes",
         "uids",
         "dense_of",
         "class_names",
@@ -123,7 +151,13 @@ class CsrSnapshot:
     )
 
     def __init__(self, data_version: int) -> None:
+        #: the store's ``data_version`` when the base was sealed.
         self.data_version = data_version
+        #: uids whose chain the base no longer describes (changed or new).
+        self.delta_elements: set[int] = set()
+        #: nodes whose expansion the base no longer describes: an incident
+        #: edge was added, or its chain changed, after the seal.
+        self.delta_adjacency_nodes: set[int] = set()
         #: dense id -> uid, ascending; the inverse of :attr:`dense_of`.
         self.uids: array = array("q")
         self.dense_of: dict[int, int] = {}
@@ -159,7 +193,28 @@ class CsrSnapshot:
         self.in_edge_current: list[ElementRecord | None] = []
 
     # ------------------------------------------------------------------
-    # chain probes
+    # delta overlay
+    # ------------------------------------------------------------------
+
+    def touch(self, record: ElementRecord) -> None:
+        """Note that *record*'s chain changed after the base was sealed.
+
+        Called by every store write path while it holds the exclusive
+        write lock.  An edge write also dirties both endpoints, so a node
+        outside :attr:`delta_adjacency_nodes` has only clean incident
+        edges and expands from the base columns alone.
+        """
+        self.delta_elements.add(record.uid)
+        if isinstance(record, EdgeRecord):
+            self.delta_adjacency_nodes.add(record.source_uid)
+            self.delta_adjacency_nodes.add(record.target_uid)
+
+    def merge_due(self) -> bool:
+        """Has the overlay outgrown :data:`MERGE_FRACTION` of the base?"""
+        return len(self.delta_elements) > MERGE_FRACTION * len(self.uids)
+
+    # ------------------------------------------------------------------
+    # base chain probes (stale for uids in the overlay)
     # ------------------------------------------------------------------
 
     def chain_run(self, dense: int, a: float, b: float) -> tuple[int, int]:
@@ -214,6 +269,8 @@ class CsrSnapshot:
             "versions": len(self.chain_records),
             "out_adjacency": len(self.out_edge_dense),
             "in_adjacency": len(self.in_edge_dense),
+            "delta_elements": len(self.delta_elements),
+            "delta_adjacency_nodes": len(self.delta_adjacency_nodes),
         }
 
 
@@ -252,7 +309,7 @@ def _build_adjacency(
 
 
 def build_csr(store: "MemGraphStore") -> CsrSnapshot:
-    """Freeze *store* into a :class:`CsrSnapshot`.
+    """Freeze *store* into a :class:`CsrSnapshot` with an empty overlay.
 
     Must run under the store's read lock (the batch accessor holds it);
     the snapshot only aliases immutable records, never live containers.

@@ -105,8 +105,9 @@ class MemGraphStore(GraphStore):
         #: require ``temporal_index_enabled`` so the temporal ablation keeps
         #: comparing against the genuine brute-force scan.
         self.batch_enabled = True
+        #: The one reference readers take: sealed base and delta overlay
+        #: travel (and are replaced) together.
         self._csr: CsrSnapshot | None = None
-        self._csr_seen_version = -1
         self._csr_lock = threading.Lock()
 
     def set_metrics(self, metrics: "MetricsRegistry | None") -> None:
@@ -204,7 +205,14 @@ class MemGraphStore(GraphStore):
             self._in.add(target, cls.name, uid)
         return uid
 
+    def _touch_csr(self, record: ElementRecord) -> None:
+        """Add *record* to the CSR's delta overlay (write lock held)."""
+        csr = self._csr
+        if csr is not None:
+            csr.touch(record)
+
     def _admit(self, record: ElementRecord) -> None:
+        self._touch_csr(record)
         self._current[record.uid] = record
         self._class_of[record.uid] = record.cls
         self._class_index.add(record.cls.name, record.uid)
@@ -245,6 +253,7 @@ class MemGraphStore(GraphStore):
             # the zero-duration field values never existed.
             self._temporal_field.drop_open(cls_name, uid, old_fields)
         replacement = self._reopen(current, normalized, now)
+        self._touch_csr(current)
         self._current[uid] = replacement
         self._field_index.add(cls_name, uid, normalized)
         self._temporal_field.open(cls_name, uid, replacement.period.start, normalized)
@@ -284,6 +293,7 @@ class MemGraphStore(GraphStore):
             # A version opened and deleted at the same instant never existed.
             self._temporal_class.drop_open(current.cls.name, uid)
             self._temporal_field.drop_open(current.cls.name, uid, fields)
+        self._touch_csr(current)
         del self._current[uid]
         self._class_index.discard(current.cls.name, uid)
         self._field_index.discard(current.cls.name, uid, fields)
@@ -320,37 +330,41 @@ class MemGraphStore(GraphStore):
     # read path
     # ------------------------------------------------------------------
 
-    def _csr_snapshot(self) -> CsrSnapshot | None:
-        """The columnar snapshot for this ``data_version`` epoch, or ``None``
-        when the read should stay on the row path.
+    def _csr_snapshot(self) -> CsrSnapshot:
+        """The columnar snapshot — sealed base plus delta overlay — batch
+        reads run against.
 
-        The snapshot is immutable, so invalidation is just an epoch
-        comparison.  Rebuilds are lazy *and* amortized: the first batch
-        read of a fresh epoch only marks the epoch seen and runs row-wise;
-        the second pays one O(n) build that every later read in the epoch
-        reuses.  Write-heavy interleavings (one read per epoch) therefore
-        never thrash full rebuilds, while read-heavy epochs — the hot path
-        this layer exists for — go columnar from their second read on.
+        A write does not invalidate it: the write paths add what they
+        changed to its overlay, and the batch operators answer exactly
+        those elements through the row routines.  Only the first batch
+        read, and the first after the overlay outgrew
+        :data:`~repro.storage.memgraph.csr.MERGE_FRACTION` of the base,
+        pay an O(graph) :func:`build_csr`; everything between reuses the
+        same object.
 
-        Callers hold the read lock, which keeps the build consistent;
-        ``_csr_lock`` only stops concurrent readers duplicating the build.
+        Callers hold the read lock, which keeps the build consistent and
+        the overlay still; ``_csr_lock`` only stops concurrent readers
+        duplicating a build.  Base and overlay are swapped as the single
+        ``_csr`` reference, so no reader pairs one's base with another's
+        overlay.
         """
         snapshot = self._csr
-        version = self.data_version
-        if snapshot is not None and snapshot.data_version == version:
+        if snapshot is not None and not snapshot.merge_due():
             self._event("executor.batch.csr_reuse")
             return snapshot
-        if self._csr_seen_version != version:
-            self._csr_seen_version = version
-            return None
         with self._csr_lock:
-            snapshot = self._csr
-            if snapshot is not None and snapshot.data_version == version:
-                return snapshot
-            snapshot = build_csr(self)
-            self._csr = snapshot
-        self._event("executor.batch.csr_build")
-        return snapshot
+            if self._csr is snapshot:  # nobody rebuilt while we waited
+                self._csr = build_csr(self)
+                self._event("executor.batch.csr_build")
+            return self._csr
+
+    def csr_overlay(self) -> tuple[int, int] | None:
+        """``(delta elements, delta adjacency nodes)`` of the live CSR
+        overlay, or ``None`` before the first batch read built a base."""
+        csr = self._csr
+        if csr is None:
+            return None
+        return len(csr.delta_elements), len(csr.delta_adjacency_nodes)
 
     def _batch_reads(self) -> bool:
         return self.batch_enabled and self.temporal_index_enabled
@@ -375,12 +389,10 @@ class MemGraphStore(GraphStore):
     def get_many(self, uids: Sequence[int], scope: TimeScope) -> dict[int, ElementRecord]:
         """Batched :meth:`get_element` under a single lock acquisition."""
         if self.batch_enabled:
-            csr = self._csr_snapshot()
-            if csr is not None:
-                from repro.plan.batch import batch_get_many
+            from repro.plan.batch import batch_get_many
 
-                self._event("executor.batch.point_reads", len(uids))
-                return batch_get_many(csr, uids, scope)
+            self._event("executor.batch.point_reads", len(uids))
+            return batch_get_many(self, self._csr_snapshot(), uids, scope)
         result: dict[int, ElementRecord] = {}
         for uid in uids:
             versions = self._visible_versions(uid, scope)
@@ -415,16 +427,15 @@ class MemGraphStore(GraphStore):
 
         # Batch scans additionally require the temporal ablation switch on,
         # so flipping it off still compares against the true row oracle.
-        if self._batch_reads():
-            csr = self._csr_snapshot()
-            if csr is not None:
-                from repro.plan.batch import batch_scan_atom
+        if self._batch_reads() and atom.equality_value("id") is None:
+            from repro.plan.batch import batch_scan_atom
 
-                results = batch_scan_atom(self, csr, atom, class_names, scope)
-                if results is not None:
-                    self._event("executor.batch.scan")
-                    self._event("executor.batch.scan_rows", len(results))
-                    return results
+            results = batch_scan_atom(
+                self, self._csr_snapshot(), atom, class_names, scope
+            )
+            self._event("executor.batch.scan")
+            self._event("executor.batch.scan_rows", len(results))
+            return results
 
         candidate_uids = self._anchor_candidates(atom, class_names, scope)
         results: list[ElementRecord] = []
@@ -542,14 +553,12 @@ class MemGraphStore(GraphStore):
         self._event("index.expand.batches")
         self._event("index.expand.nodes", len(node_uids))
         if self.batch_enabled:
-            csr = self._csr_snapshot()
-            if csr is not None:
-                from repro.plan.batch import batch_expand_many
+            from repro.plan.batch import batch_expand_many
 
-                self._event("executor.batch.expand")
-                return batch_expand_many(
-                    csr, adjacency is self._out, node_uids, scope, class_names
-                )
+            self._event("executor.batch.expand")
+            return batch_expand_many(
+                self, self._csr_snapshot(), adjacency, node_uids, scope, class_names
+            )
         return {
             uid: self._expand(adjacency, uid, scope, class_names)
             for uid in node_uids

@@ -26,6 +26,7 @@ uid-allocator high-water mark.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -67,7 +68,7 @@ class WalCorruptionError(StorageError):
     """A WAL frame failed validation somewhere other than the torn tail."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WalRecord:
     """One journaled operation (or framing/manifest marker).
 
@@ -421,18 +422,20 @@ def compact_history(store: "GraphStore") -> list[WalRecord]:
     return [record for *_key, record in events]
 
 
-def history_digest(store: "GraphStore") -> tuple:
-    """A comparable fingerprint of a store's full temporal state.
+def history_digest(store: "GraphStore") -> str:
+    """A comparable fingerprint of a store's full temporal state: the
+    SHA-256 of its compacted journal.
 
     Two stores with equal digests answer every query — current, timeslice
     or time-range — identically; the crash matrix compares recovered
-    stores against committed prefixes with it.
+    stores against committed prefixes with it.  Hashing record by record
+    keeps the fingerprint a few bytes however long the history is (a
+    digest is typically held while a second store's is computed).
     """
-    return tuple(
-        (r.op, r.ts, r.uid, r.cls, r.source, r.target,
-         tuple(sorted((r.fields or {}).items(), key=repr)))
-        for r in compact_history(store)
-    )
+    digest = hashlib.sha256()
+    for record in compact_history(store):
+        digest.update(record.to_payload())
+    return digest.hexdigest()
 
 
 def write_records(

@@ -70,7 +70,7 @@ def format_timestamp(ts: float) -> str:
     return moment.strftime("%Y-%m-%d %H:%M:%S")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Interval:
     """A half-open interval ``[start, end)`` of transaction time."""
 

@@ -7,9 +7,12 @@ each test well under a second locally so the repetition stays cheap.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 from repro.core.database import NepalDB
+from repro.rpe.parser import parse_rpe
+from repro.storage.base import TimeScope
 from tests.concurrency.conftest import CORPUS, result_digest, small_topology
 
 READERS = 4
@@ -116,6 +119,100 @@ def test_ephemeral_query_pins_see_consistent_states():
     stop.set()
     join_all(readers)
     assert not errors, errors[0]
+
+
+def test_batch_readers_agree_with_row_oracle_while_overlay_grows_and_merges():
+    """8 readers issue batch reads through pinned snapshots while one writer
+    commits: every batch answer (base + overlay, across the merges the
+    readers themselves trigger) must equal the per-element row routines'
+    answer at the same pin.  A reader pairing one snapshot's base with
+    another's overlay would miss a write and break the equality."""
+    db = NepalDB()
+    handles = small_topology(db)
+    # A base large enough that several commits fit under the merge
+    # threshold, so readers meet non-empty overlays between merges.
+    fillers = [db.insert_node("VM", {"name": f"filler{i}"}) for i in range(150)]
+    churned = handles["vms"] + fillers
+    engine = db.store
+    vm_atom = parse_rpe("VM()").bind(db.schema)
+    current = TimeScope.current()
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    readers_count, rounds, growth = 8, 6, 150
+
+    def reader() -> None:
+        try:
+            for _ in range(rounds):
+                with db.snapshot() as snap:
+                    store = snap.store
+                    uids = store.known_uids()
+                    row = {}
+                    for uid in uids:
+                        record = store.get_element(uid, current)
+                        if record is not None:
+                            row[uid] = record
+                    assert store.get_many(uids, current) == row
+                    assert store.out_edges_many(uids, current) == {
+                        uid: store.out_edges(uid, current) for uid in uids
+                    }
+                    assert store.in_edges_many(uids, current) == {
+                        uid: store.in_edges(uid, current) for uid in uids
+                    }
+                    assert store.scan_atom(vm_atom, current) == [
+                        row[uid] for uid in sorted(row) if vm_atom.matches(row[uid])
+                    ]
+        except BaseException as error:  # noqa: BLE001 - surfaced below
+            errors.append(error)
+
+    def writer() -> None:
+        try:
+            serial = 0
+            while not stop.is_set():
+                serial += 1
+                # Walking every VM keeps dirtying *distinct* elements, so the
+                # overlay keeps outgrowing the threshold and merges keep firing
+                # for as long as the readers run.
+                vm = churned[serial % len(churned)]
+                db.update(vm, {"status": ("Red", "Green", "Amber")[serial % 3]})
+                if serial > growth:
+                    # Only status churn from here on: ``known_uids`` (which
+                    # every reader round walks) must stay bounded, or rounds
+                    # slow down faster than the writer grows the store.
+                    continue
+                uid = db.insert_node("VM", {"name": f"o{serial}"})
+                edge = db.insert_edge("OnServer", uid, handles["hosts"][serial % 4])
+                if serial % 3 == 0:
+                    db.delete(edge)
+                if serial % 5 == 0:
+                    db.delete(uid)  # cascades to its placement edge
+        except BaseException as error:  # noqa: BLE001
+            errors.append(error)
+
+    readers = [
+        threading.Thread(target=reader, name=f"breader-{slot}")
+        for slot in range(readers_count)
+    ]
+    churn = threading.Thread(target=writer, name="bwriter")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many more interleavings per second
+    try:
+        churn.start()
+        for worker in readers:
+            worker.start()
+        join_all(readers)
+    finally:
+        stop.set()
+        join_all([churn])
+        sys.setswitchinterval(interval)
+
+    assert not errors, errors[0]
+    # Reads really went through overlays, and merges really fired under them.
+    assert db.metrics.event_count("executor.batch.csr_delta_reads") > 0
+    # The first build plus at least one merge — and a merge is always run by
+    # a reader, under the read lock, beside the other seven.
+    assert db.metrics.event_count("executor.batch.csr_build") >= 2
+    assert engine.csr_overlay() is not None
+    assert db.write_gate.open_pins() == 0
 
 
 def test_concurrent_writers_serialize_exactly():

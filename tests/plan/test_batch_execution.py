@@ -8,9 +8,12 @@ same record objects' values.  That contract is checked here under random
 churn across the backend matrix, through pinned snapshots while a writer
 churns underneath, and on a replica recovered from the durability log.
 
-The CSR builds on the *second* batch read of an epoch (the first defers
-to the row path so write-heavy periods never thrash rebuilds), so every
-batch leg below warms with two reads before comparing.
+The CSR is built by the first batch read and then kept across writes:
+what they change lands in its delta overlay until a merge rebuilds it.
+The interleaving differential below therefore compares three answers at
+every read — base + overlay, a from-scratch build, and the row path —
+with the merge threshold drawn so some runs never merge, some merge
+mid-sequence and some merge on almost every write.
 """
 
 from __future__ import annotations
@@ -23,18 +26,22 @@ from repro.rpe.parser import parse_rpe
 from repro.schema.builtin import build_network_schema
 from repro.storage.base import TimeScope
 from repro.storage.durable import recover
+from repro.storage.memgraph.csr import MERGE_FRACTION
 from repro.storage.memgraph.store import MemGraphStore
 from repro.temporal.clock import TransactionClock
 from tests.conftest import SmallInventory
 from tests.storage.test_backend_equivalence import (
     BACKEND_MATRIX,
+    SCHEMA,
     T0,
+    OpReplay,
     _norm_value,
     _ops,
     apply_ops,
     matrix_stores,
     snapshot_of,
 )
+from tests.storage.test_csr import merge_fraction, never_merging
 
 _choices = st.lists(st.integers(min_value=0, max_value=997), min_size=60, max_size=60)
 
@@ -49,19 +56,12 @@ def engine_of(store):
     return None
 
 
-def warm(store, scope) -> None:
-    """Two reads, so the second-read-per-epoch heuristic builds the CSR."""
-    bound = parse_rpe(f"{store.schema.classes()[0].name}()").bind(store.schema)
-    store.scan_atom(bound, scope)
-    store.scan_atom(bound, scope)
-
-
 def read_surface(store, scope, scan_names, filter_name):
     """Every read surface the executor uses, order-sensitively."""
     schema = store.schema
     scans = []
     for name in scan_names:
-        bound = parse_rpe(f"{name}()").bind(schema)
+        bound = parse_rpe(name if "(" in name else f"{name}()").bind(schema)
         scans.append((name, store.scan_atom(bound, scope)))
     uids = store.known_uids()
     filters = [schema.resolve(filter_name)]
@@ -95,6 +95,10 @@ def ordered_rows(result):
 
 
 EQUIV_SCANS = ("Box", "BigBox", "Link", "FastLink")
+#: The same plus predicate atoms: an equality the interleaving test indexes
+#: (candidate-driven scan) and non-indexed filters on nodes and on edges
+#: (column sweep with ``atom.matches``).
+OVERLAY_SCANS = EQUIV_SCANS + ("Box(status='changed')", "Box(size=1)", "Link(weight=2)")
 NETWORK_SCANS = ("VM", "Host", "Vertical")
 
 
@@ -122,7 +126,6 @@ def test_batch_matches_row_across_matrix_under_churn(ops, choices):
             if engine is None:
                 continue
             engine.batch_enabled = True
-            warm(store, scope)
             batch_leg = read_surface(store, scope, EQUIV_SCANS, "FastLink")
             engine.batch_enabled = False
             row_leg = read_surface(store, scope, EQUIV_SCANS, "FastLink")
@@ -133,6 +136,84 @@ def test_batch_matches_row_across_matrix_under_churn(ops, choices):
             assert snapshot_of(store, scope) == expected, (config, scope)
 
 
+_churn_ops = st.lists(
+    st.sampled_from([
+        ("node", "Box"), ("node", "BigBox"),
+        ("edge", "Link"), ("edge", "FastLink"),
+        ("update",), ("delete",), ("revive",), ("flap",), ("reinsert",),
+        ("tick",), ("read",), ("read",), ("read",),
+    ]),
+    min_size=5,
+    max_size=40,
+)
+#: Every run starts from a small sealed base, so drawn writes land in an
+#: overlay from the first op on.
+_PRELUDE = [
+    ("node", "Box"), ("node", "BigBox"), ("node", "Box"), ("node", "BigBox"),
+    ("edge", "Link"), ("edge", "FastLink"), ("edge", "Link"), ("edge", "FastLink"),
+    ("tick",), ("read",),
+]
+_churn_choices = st.lists(
+    st.integers(min_value=0, max_value=997), min_size=120, max_size=120
+)
+#: never merge (twice as likely) / merge once most or a third of the base
+#: is dirty / the shipped constant, which on these handful-of-element
+#: stores merges after almost every write.
+_fractions = st.sampled_from([float("inf"), float("inf"), 0.75, 0.34, MERGE_FRACTION])
+
+
+def three_way_read(store: MemGraphStore, scope) -> None:
+    """base + overlay == fresh build == row path, on every read surface."""
+    live = store._csr
+    overlay_leg = read_surface(store, scope, OVERLAY_SCANS, "FastLink")
+    store._csr = None  # the next batch read builds from scratch
+    fresh_leg = read_surface(store, scope, OVERLAY_SCANS, "FastLink")
+    assert store.csr_overlay() == (0, 0)
+    store.batch_enabled = False
+    row_leg = read_surface(store, scope, OVERLAY_SCANS, "FastLink")
+    store.batch_enabled = True
+    # Put the overlaid snapshot back, so it keeps growing across reads —
+    # unless this read itself merged it; then the fresh build is the one
+    # to keep.
+    if live is not None and not live.merge_due():
+        store._csr = live
+    assert overlay_leg == row_leg, scope
+    assert fresh_leg == row_leg, scope
+
+
+@settings(max_examples=60, deadline=None)
+@given(_churn_ops, _churn_choices, _fractions)
+def test_overlay_matches_fresh_build_and_row_under_interleaved_churn(
+    ops, choices, fraction
+):
+    """Random interleavings of inserts / updates / deletes (node deletes
+    cascade) / edge flaps / revivals / reinserts with batch reads under
+    current, AT and range scopes."""
+    store = MemGraphStore(
+        SCHEMA, clock=TransactionClock(start=T0), indexed_fields=("status",)
+    )
+    replay = OpReplay(store, choices)
+    builds_seen = set()
+    with merge_fraction(fraction):
+        for op in [*_PRELUDE, *ops, ("read",)]:
+            if op[0] != "read":
+                replay.apply(op)
+                continue
+            now = store.clock.now()
+            for scope in (
+                TimeScope.current(),
+                TimeScope.at(T0),
+                TimeScope.at((T0 + now) / 2),
+                TimeScope.at(now),
+                TimeScope.between(T0, now + 1),
+                TimeScope.between((T0 + now) / 2, now + 1),
+            ):
+                three_way_read(store, scope)
+                builds_seen.add(id(store._csr))
+    if fraction == float("inf"):
+        assert len(builds_seen) == 1  # the prelude's base served the whole run
+
+
 PIN_QUERY = (
     "Select source(P).name, target(P).name "
     "From PATHS P Where P MATCHES VFC()->VM()->Host()"
@@ -141,7 +222,9 @@ PIN_QUERY = (
 
 def test_pinned_snapshot_batch_reads_ignore_later_writes():
     """Snapshots pinned before churn must serve identical (pre-churn)
-    answers from the batch and row engines, while live reads move on."""
+    answers from the batch and row engines, while live reads move on —
+    first through the overlay the churn left on the pre-pin base, then
+    through the base a merge rebuilt after the pin."""
     schema = build_network_schema()
     dbs = {}
     invs = {}
@@ -156,13 +239,13 @@ def test_pinned_snapshot_batch_reads_ignore_later_writes():
     assert engine_of(dbs["batch"].store).batch_enabled
     assert not engine_of(dbs["row"].store).batch_enabled
 
-    # Warm (two runs) so the batch leg's CSR exists before pinning.
-    before = {}
-    for leg, db in dbs.items():
-        db.query(PIN_QUERY)
-        before[leg] = ordered_rows(db.query(PIN_QUERY))
+    # The first query builds the batch leg's CSR, before pinning.
+    before = {leg: ordered_rows(db.query(PIN_QUERY)) for leg, db in dbs.items()}
     assert before["batch"] == before["row"]
     assert before["batch"]  # the fixed topology does produce pathways
+    engine = engine_of(dbs["batch"].store)
+    sealed = engine._csr
+    assert sealed is not None and engine.csr_overlay() == (0, 0)
 
     snaps = {leg: db.snapshot() for leg, db in dbs.items()}
 
@@ -175,11 +258,20 @@ def test_pinned_snapshot_batch_reads_ignore_later_writes():
         db.store.insert_node("Host", {"name": "host-3", "cpu_cores": 8})
         db.store.clock.advance(10)
 
+    def pinned_answers_hold():
+        pinned = {leg: ordered_rows(snap.query(PIN_QUERY)) for leg, snap in snaps.items()}
+        assert pinned["batch"] == pinned["row"]
+        assert pinned["batch"] == before["batch"]
+
     try:
-        for _ in range(2):  # second pass runs on the rebuilt CSR
-            pinned = {leg: ordered_rows(snap.query(PIN_QUERY)) for leg, snap in snaps.items()}
-            assert pinned["batch"] == pinned["row"]
-            assert pinned["batch"] == before["batch"]
+        with never_merging():
+            pinned_answers_hold()
+            assert engine._csr is sealed  # the writer dirtied it, nothing rebuilt
+            elements, nodes = engine.csr_overlay()
+            assert elements >= 3 and nodes >= 2
+        with merge_fraction(0.0):  # any dirt is past the threshold: merge
+            pinned_answers_hold()
+        assert engine._csr is not sealed and engine.csr_overlay() == (0, 0)
         # Direct pinned point reads agree too, record for record.
         uids = dbs["batch"].store.known_uids()
         assert uids == dbs["row"].store.known_uids()
@@ -199,7 +291,8 @@ def test_pinned_snapshot_batch_reads_ignore_later_writes():
 
 def test_recovered_replica_batch_matches_row(tmp_path):
     """A replica rebuilt from the durability log answers identically on
-    both engines, and identically to the primary it replicates."""
+    both engines, and identically to the primary it replicates — and keeps
+    doing so when later writes land in the overlay of the base it built."""
     schema = build_network_schema()
     db = NepalDB(
         schema=schema,
@@ -212,20 +305,33 @@ def test_recovered_replica_batch_matches_row(tmp_path):
     db.store.delete_element(inv.e_fw_vfc2)
 
     scope = TimeScope.current()
-    warm(db.store, scope)
     primary = read_surface(db.store, scope, NETWORK_SCANS, "OnServer")
     db.close()
 
     replica = MemGraphStore(schema, clock=TransactionClock(start=T0))
     recover(tmp_path / "data", replica)
     engine = engine_of(replica)
-    engine.batch_enabled = True
-    warm(replica, scope)
-    batch_leg = read_surface(replica, scope, NETWORK_SCANS, "OnServer")
-    engine.batch_enabled = False
-    row_leg = read_surface(replica, scope, NETWORK_SCANS, "OnServer")
-    assert batch_leg == row_leg
-    assert batch_leg == primary
+
+    def legs(at):
+        engine.batch_enabled = True
+        batch_leg = read_surface(replica, at, NETWORK_SCANS, "OnServer")
+        engine.batch_enabled = False
+        row_leg = read_surface(replica, at, NETWORK_SCANS, "OnServer")
+        engine.batch_enabled = True
+        assert batch_leg == row_leg
+        return batch_leg
+
+    assert legs(scope) == primary
+    recovered_at = replica.clock.now()
+    sealed = replica._csr
+    with never_merging():
+        replica.clock.advance(5)
+        replica.update_element(inv.vm1, {"status": "Red"})
+        replica.delete_element(inv.e_vfc2_vm2)
+        replica.insert_edge("OnServer", inv.vm2, inv.host1)
+        assert legs(scope) != primary
+        legs(TimeScope.at(recovered_at))
+        assert replica._csr is sealed and replica.csr_overlay()[0] == 3
 
 
 def test_planner_option_reaches_the_engine_through_wrappers(tmp_path):

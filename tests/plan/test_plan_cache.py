@@ -5,6 +5,7 @@ import pytest
 from repro.core.database import NepalDB
 from repro.plan.cache import LruCache, PlanCache
 from repro.plan.planner import Planner, PlannerOptions
+from repro.rpe.parser import parse_rpe
 from repro.schema.builtin import build_network_schema
 from repro.stats.cardinality import CardinalityEstimator
 from repro.storage.memgraph.store import MemGraphStore
@@ -126,8 +127,10 @@ def test_stats_epoch_changes_key_and_purges_stale_entry():
     options = PlannerOptions()
     cache = PlanCache()
     before = PlanCache.key_for("Host()", "default", store, estimator, options)
+    # Compiling the plan costs its anchors, which samples the Host count.
+    estimator.estimate(parse_rpe("Host()").bind(store.schema))
     cache.store(before, "old-plan")
-    store.insert_node("Host", {"name": "h"})  # bumps data_version → epoch
+    store.insert_node("Host", {"name": "h"})  # moves a sampled count → epoch
     after = PlanCache.key_for("Host()", "default", store, estimator, options)
     assert before != after
     cache.store(after, "new-plan")
@@ -174,6 +177,36 @@ def test_write_then_requery_returns_fresh_results(db):
     vm = db.insert_node("VMWare", {"name": "vm-new"})
     db.insert_edge("OnServer", vm, host)
     assert len(db.query(QUERY).rows) == baseline + 1
+
+
+def test_status_churn_keeps_cached_plans_but_count_changes_retire_them():
+    """Field updates move no class count, so the statistics epoch — and with
+    it every cached plan — survives them; inserts and deletes do not."""
+    db = NepalDB(clock=TransactionClock(start=T0))
+    inv = SmallInventory(db.store)
+    estimator = db.executor().estimator_for(db.store)
+    baseline = len(db.query(QUERY).rows)
+    epoch = estimator.stats_epoch
+
+    def plan_counters():
+        stats = db.cache_stats()["plan"]
+        return stats["hits"], stats["misses"]
+
+    hits, misses = plan_counters()
+    for status in ("Red", "Amber", "Green"):
+        db.store.clock.advance(1)
+        db.update(inv.vm1, {"status": status})
+        assert len(db.query(QUERY).rows) == baseline
+    assert estimator.stats_epoch == epoch
+    assert plan_counters() == (hits + 3, misses)
+
+    host = db.insert_node("Host", {"name": "host-new"})
+    assert estimator.stats_epoch > epoch
+    epoch = estimator.stats_epoch
+    db.query(QUERY)
+    assert plan_counters() == (hits + 3, misses + 1)  # replanned once
+    db.delete(host)
+    assert estimator.stats_epoch > epoch
 
 
 def test_delete_then_requery_returns_fresh_results(db):

@@ -82,3 +82,31 @@ def test_cache_and_invalidate(mem_store):
     estimator.invalidate()
     assert estimator.stats_epoch > epoch
     assert estimator.estimate(atom(mem_store, "Host()")) == 50.0
+
+
+def test_epoch_follows_class_counts_not_data_version(mem_store):
+    """A version move alone retires nothing: only a change in a class count
+    the cached estimates were built from advances the epoch."""
+    estimator = CardinalityEstimator(mem_store)
+    host = mem_store.insert_node("Host", {"name": "h0", "status": "Green"})
+    vm = mem_store.insert_node("VMWare", {"name": "v0"})
+    assert estimator.estimate(atom(mem_store, "Host()")) == 1.0
+    epoch = estimator.stats_epoch
+
+    version = mem_store.data_version
+    mem_store.clock.advance(1)
+    mem_store.update_element(host, {"status": "Red"})
+    assert mem_store.data_version > version
+    assert estimator.stats_epoch == epoch  # no count moved
+
+    # VM counts were never sampled, so no cached estimate depends on them.
+    mem_store.delete_element(vm)
+    assert estimator.stats_epoch == epoch
+
+    mem_store.insert_node("Host", {"name": "h1"})
+    assert estimator.stats_epoch == epoch + 1
+    assert estimator.estimate(atom(mem_store, "Host()")) == 2.0
+    mem_store.clock.advance(1)
+    mem_store.delete_element(host)
+    assert estimator.stats_epoch == epoch + 2
+    assert estimator.estimate(atom(mem_store, "Host()")) == 1.0

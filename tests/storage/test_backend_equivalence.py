@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import NepalError
 from repro.inventory.virtualized import TopologyParams, VirtualizedServiceTopology
 from repro.model.elements import ElementRecord
 from repro.model.pathway import Pathway
@@ -54,59 +55,80 @@ _ops = st.lists(
 )
 
 
-def apply_ops(store, ops, choices):
-    """Replay an op sequence deterministically on a store."""
-    nodes: list[int] = []
-    edges: list[int] = []
-    deleted: list[int] = []
-    pick = iter(choices)
+class OpReplay:
+    """Replays write ops one at a time, deterministically, on a store —
+    resumable, so tests can interleave reads between the writes."""
 
-    def choose(population):
+    def __init__(self, store, choices):
+        self.store = store
+        self.nodes: list[int] = []
+        self.edges: list[int] = []
+        self.deleted: list[int] = []
+        self._pick = iter(choices)
+
+    def choose(self, population):
         if not population:
             return None
-        return population[next(pick) % len(population)]
+        return population[next(self._pick) % len(population)]
 
-    for op in ops:
-        if op[0] == "node":
-            uid = store.insert_node(op[1], {"status": "up", "size": len(nodes)})
-            nodes.append(uid)
-        elif op[0] == "edge":
-            source, target = choose(nodes), choose(nodes)
-            if source is None or target is None:
-                continue
-            try:
-                uid = store.insert_edge(op[1], source, target, {"weight": 1})
-            except Exception:
-                continue
-            edges.append(uid)
-        elif op[0] == "update":
-            uid = choose(nodes + edges)
-            if uid is None:
-                continue
-            try:
-                store.update_element(uid, {"status": "changed"})
-            except Exception:
-                continue
-        elif op[0] == "delete":
-            uid = choose(nodes + edges)
-            if uid is None:
-                continue
-            try:
-                store.delete_element(uid)
-                deleted.append(uid)
-            except Exception:
-                continue
-        elif op[0] == "revive":
-            uid = choose([d for d in deleted if d in nodes])
-            if uid is None:
-                continue
-            try:
-                store.insert_node("Box", {"status": "back"}, uid=uid)
-            except Exception:
-                continue
-        elif op[0] == "tick":
+    def apply(self, op) -> None:
+        store = self.store
+        if op[0] == "tick":
             store.clock.advance(10)
-    return nodes, edges
+            return
+        try:
+            self._write(op)
+        except NepalError:
+            pass  # an op the current state does not admit: skipped on every store alike
+
+    def _write(self, op) -> None:
+        store, nodes, edges = self.store, self.nodes, self.edges
+        if op[0] == "node":
+            nodes.append(store.insert_node(op[1], {"status": "up", "size": len(nodes)}))
+        elif op[0] == "edge":
+            source, target = self.choose(nodes), self.choose(nodes)
+            if source is not None and target is not None:
+                edges.append(store.insert_edge(op[1], source, target, {"weight": 1}))
+        elif op[0] == "update":
+            uid = self.choose(nodes + edges)
+            if uid is not None:
+                store.update_element(uid, {"status": "changed"})
+        elif op[0] == "delete":
+            uid = self.choose(nodes + edges)
+            if uid is not None:
+                store.delete_element(uid)
+                self.deleted.append(uid)
+        elif op[0] == "revive":
+            uid = self.choose([d for d in self.deleted if d in nodes])
+            if uid is not None:
+                store.insert_node("Box", {"status": "back"}, uid=uid)
+        elif op[0] == "flap":
+            # An edge drops and comes back under its own uid (the revived
+            # ``insert_edge`` path snapshot feeds take).
+            uid = self.choose(edges)
+            if uid is not None:
+                edge = store.get_element(uid, TimeScope.between(0.0, float("inf")))
+                if edge is None:  # created and deleted within one instant
+                    return
+                store.clock.advance(1)
+                if edge.is_current:
+                    store.delete_element(uid)
+                store.insert_edge(
+                    edge.cls.name, edge.source_uid, edge.target_uid,
+                    {"weight": 2}, uid=uid,
+                )
+        elif op[0] == "reinsert":
+            uid = self.choose(self.deleted)
+            if uid is not None:
+                store.reinsert(uid)
+
+
+def apply_ops(store, ops, choices):
+    """Replay an op sequence deterministically on a store."""
+    replay = OpReplay(store, choices)
+    for op in ops:
+        replay.apply(op)
+    return replay.nodes, replay.edges
 
 
 def snapshot_of(store, scope):

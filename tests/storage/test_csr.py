@@ -4,27 +4,40 @@ The snapshot is the foundation the batch operators stand on, so its
 invariants are tested directly: the interning table is a bijection, the
 chain columns are bisectable (starts and ends ascending per chain), the
 adjacency CSR reproduces ``AdjacencyIndex.edges`` ordering exactly, and
-the epoch cache rebuilds lazily — same object within an epoch, fresh and
-equivalent to a from-scratch build after any write.
+a write lands in the delta overlay of the same object — the sealed base
+survives until the overlay outgrows ``MERGE_FRACTION`` — while reads
+through base + overlay stay equivalent to a from-scratch build.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
+from repro.stats.metrics import MetricsRegistry
 from repro.storage.base import TimeScope
-from repro.storage.memgraph.csr import build_csr
+from repro.storage.memgraph import csr as csr_module
+from repro.storage.memgraph.csr import MERGE_FRACTION, build_csr
 from repro.storage.memgraph.store import MemGraphStore
 from repro.temporal.clock import TransactionClock
-from tests.storage.test_backend_equivalence import SCHEMA, T0, _ops, apply_ops
+from tests.storage.test_backend_equivalence import SCHEMA, T0, OpReplay, _ops
 
 _choices = st.lists(st.integers(min_value=0, max_value=997), min_size=60, max_size=60)
 
 
-def churned_store(ops, choices) -> MemGraphStore:
-    store = MemGraphStore(SCHEMA, clock=TransactionClock(start=T0))
-    apply_ops(store, ops, choices)
-    return store
+@contextmanager
+def merge_fraction(fraction: float):
+    """Run with another merge threshold (the constant is read per call)."""
+    with mock.patch.object(csr_module, "MERGE_FRACTION", fraction):
+        yield
+
+
+def never_merging():
+    """The handful-of-elements stores here would merge on every other write;
+    an unreachable threshold keeps the overlay path under test."""
+    return merge_fraction(float("inf"))
 
 
 def simple_store() -> MemGraphStore:
@@ -95,40 +108,90 @@ def test_adjacency_csr_reproduces_index_ordering():
                 assert got == expected, (uid, names)
 
 
-def test_epoch_cache_reuses_then_invalidates():
+def test_write_dirties_the_overlay_and_the_base_survives_until_a_merge():
+    metrics = MetricsRegistry()
     store = simple_store()
-    # First batch read of an epoch defers to the row path (no snapshot yet);
-    # the second builds, and later reads reuse the same object.
-    assert store._csr_snapshot() is None
+    store.set_metrics(metrics)
+    for _ in range(40):  # a base big enough that two writes stay below the threshold
+        store.insert_node("Box", {"status": "up"})
+    # The first batch read builds; later reads reuse the same object.
     built = store._csr_snapshot()
-    assert built is not None
     assert store._csr_snapshot() is built
     assert built.data_version == store.data_version
-    # Any write moves the epoch: one deferred read, then a fresh build.
-    store.insert_node("Box", {"status": "new"})
-    assert store._csr_snapshot() is None
-    rebuilt = store._csr_snapshot()
-    assert rebuilt is not built
-    assert rebuilt.data_version == store.data_version
+    assert built.describe()["delta_elements"] == 0
+    assert store.csr_overlay() == (0, 0)
+
+    # A write no longer orphans the base: it lands in the overlay of the
+    # very same object, which readers keep using.
+    box = store.insert_node("Box", {"status": "new"})
+    assert store._csr_snapshot() is built
+    assert built.delta_elements == {box}
+    assert built.delta_adjacency_nodes == set()
+    assert built.data_version < store.data_version
+    assert box not in built.dense_of  # the base columns were not touched
+
+    # An edge write dirties the edge and both endpoints' adjacency.
+    a = store.known_uids()[0]
+    edge = store.insert_edge("Link", a, box, {"weight": 9})
+    assert store._csr_snapshot() is built
+    assert built.delta_elements == {box, edge}
+    assert built.delta_adjacency_nodes == {a, box}
+    assert store.csr_overlay() == (2, 2)
+    assert metrics.event_count("executor.batch.csr_build") == 1
+
+    # Once the overlay outgrows MERGE_FRACTION of the base, the next read
+    # merges: a new object, sealed at the current version, overlay empty.
+    while not built.merge_due():
+        store.insert_node("Box", {"status": "filler"})
+    assert len(built.delta_elements) > MERGE_FRACTION * len(built.uids)
+    merged = store._csr_snapshot()
+    assert merged is not built
+    assert merged.data_version == store.data_version
+    assert store.csr_overlay() == (0, 0)
+    assert box in merged.dense_of
+    assert store._csr_snapshot() is merged
+    assert metrics.event_count("executor.batch.csr_build") == 2
+
+
+def test_repeated_writes_to_one_element_never_force_a_merge():
+    """The overlay counts distinct elements, so hammering one status field
+    (most of the paper's churn) costs set re-insertions, never a rebuild."""
+    store = simple_store()
+    for _ in range(40):
+        store.insert_node("Box", {"status": "up"})
+    built = store._csr_snapshot()
+    target = store.current_uids()[0]
+    for tick in range(200):
+        store.clock.advance(1)
+        store.update_element(target, {"status": f"s{tick}"})
+        assert store._csr_snapshot() is built
+    assert built.delta_elements == {target}
+    assert store.get_many([target], TimeScope.current())[target].fields["status"] == "s199"
 
 
 @settings(max_examples=30, deadline=None)
-@given(_ops, _choices)
-def test_lazy_rebuild_equals_fresh_build(ops, choices):
-    """After arbitrary churn, the epoch-cached snapshot answers exactly like
-    a from-scratch build (and like the row path) at every probe time."""
-    store = churned_store(ops, choices)
-    store._csr_snapshot()  # mark the epoch seen
-    cached = store._csr_snapshot()
-    assert cached is not None
-    fresh = build_csr(store)
-    assert cached.describe() == fresh.describe()
-    final = store.clock.now()
-    probes = [T0, (T0 + final) / 2, final]
-    for uid in store.known_uids():
-        for t in probes:
+@given(_ops, _choices, st.integers(min_value=0, max_value=25))
+def test_overlay_equals_fresh_build_equals_row_path(ops, choices, sealed_after):
+    """Seal a base part-way through arbitrary churn, keep writing into its
+    overlay, and every point read must still equal both a from-scratch
+    build and the row path at every probe time."""
+    store = MemGraphStore(SCHEMA, clock=TransactionClock(start=T0))
+    replay = OpReplay(store, choices)
+    with never_merging():
+        for op in ops[:sealed_after]:
+            replay.apply(op)
+        sealed = store._csr_snapshot()
+        for op in ops[sealed_after:]:
+            replay.apply(op)
+        assert store._csr_snapshot() is sealed
+        fresh = build_csr(store)
+        final = store.clock.now()
+        uids = store.known_uids()
+        for t in (T0, (T0 + final) / 2, final):
             scope = TimeScope.at(t)
             window = scope.window()
             a, b = window.start, window.end
-            assert cached.latest_visible(uid, a, b) == fresh.latest_visible(uid, a, b)
-            assert cached.latest_visible(uid, a, b) == store.get_element(uid, scope)
+            overlay = store.get_many(uids, scope)
+            for uid in uids:
+                assert overlay.get(uid) == fresh.latest_visible(uid, a, b)
+                assert overlay.get(uid) == store.get_element(uid, scope)
